@@ -8,7 +8,6 @@
 //! all state from the shelf via [`Controller::recover`] — the paper's
 //! sub-30-second failover, reproduced in virtual time.
 
-use crate::cache::CblockCache;
 use crate::config::ArrayConfig;
 use crate::controller::{Ack, Controller, Volume};
 use crate::error::Result;
@@ -18,9 +17,11 @@ use crate::recovery::{RecoveryOptions, RecoveryReport, ScanMode};
 use crate::scrub::ScrubReport;
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
-use crate::types::{DriveId, SnapshotId, VolumeId};
+use crate::tier::cold_drive_of;
+use crate::types::{DriveId, Pba, SnapshotId, VolumeId};
 use purity_obs::{MetricsSnapshot, Obs};
 use purity_sim::{Clock, Nanos};
+use purity_tier::RamCache;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -113,7 +114,7 @@ pub struct FlashArray {
     primary: Controller,
     /// The standby's warm cache (its only interesting state — the rest
     /// is rebuilt from the shelf on takeover).
-    secondary_cache: CblockCache,
+    secondary_cache: RamCache<Pba>,
     writes_since_warm: u64,
     /// Ops accepted but (as of the last prune) not yet complete.
     inflight: VecDeque<InflightOp>,
@@ -133,7 +134,7 @@ impl FlashArray {
         let clock = Clock::new();
         let mut shelf = Shelf::new(&cfg, clock.clone());
         let primary = Controller::format(cfg.clone(), &mut shelf, clock.now())?;
-        let secondary_cache = CblockCache::new(cfg.cache_bytes);
+        let secondary_cache = RamCache::new(cfg.cache_bytes);
         Ok(Self {
             cfg,
             clock,
@@ -284,8 +285,11 @@ impl FlashArray {
         if self.writes_since_warm >= WARM_EVERY {
             self.writes_since_warm = 0;
             // Asynchronous cache warming (§4.3) — free of request-path
-            // virtual time.
-            self.primary.cache.warm_into(&mut self.secondary_cache);
+            // virtual time. Cold-slot addresses are reused once a slot
+            // is released, so the standby never holds one.
+            self.primary
+                .cache
+                .warm_into(&mut self.secondary_cache, |p| cold_drive_of(p).is_none());
         }
         Ok((self.note_inflight(port, now, ack.latency), ack))
     }
@@ -570,7 +574,7 @@ impl FlashArray {
         // history outlives any one controller).
         ctrl.cache = std::mem::replace(
             &mut self.secondary_cache,
-            CblockCache::new(self.cfg.cache_bytes),
+            RamCache::new(self.cfg.cache_bytes),
         );
         ctrl.stats.absorb(&self.primary.stats);
         // The metric registry and slow-op ring likewise outlive the
@@ -657,7 +661,7 @@ impl FlashArray {
             Controller::recover_with(self.cfg.clone(), &mut self.shelf, spec.recovery, start)?;
         // Cold start: the secondary's warm cache died too, and a fresh
         // observability registry boots with the new controller.
-        self.secondary_cache = CblockCache::new(self.cfg.cache_bytes);
+        self.secondary_cache = RamCache::new(self.cfg.cache_bytes);
         self.writes_since_warm = 0;
         self.primary = ctrl;
         let downtime = recovery.total_time;
@@ -798,15 +802,16 @@ impl FlashArray {
         }
         reg.counter("array_reconstruction_extra_reads", &[])
             .set(s.reconstruction_extra_reads);
-        // Tiering engine: RAM cache economics + migrator traffic.
-        let (ram_hits, ram_misses, ram_evictions, ram_used, ram_cap) =
-            self.primary.ram_cache_stats();
-        reg.counter("cache_ram_hits", &[]).set(ram_hits);
-        reg.counter("cache_ram_misses", &[]).set(ram_misses);
-        reg.counter("cache_ram_evictions", &[]).set(ram_evictions);
-        reg.gauge("cache_ram_used_bytes", &[]).set(ram_used as i64);
+        // DRAM cache economics (hits are `array_reads{path="cache"}`)
+        // + tiering migrator traffic.
+        let cache = &self.primary.cache;
+        let (_, misses, evictions) = cache.stats();
+        reg.counter("cache_ram_misses", &[]).set(misses);
+        reg.counter("cache_ram_evictions", &[]).set(evictions);
+        reg.gauge("cache_ram_used_bytes", &[])
+            .set(cache.used_bytes() as i64);
         reg.gauge("cache_ram_capacity_bytes", &[])
-            .set(ram_cap as i64);
+            .set(cache.capacity_bytes() as i64);
         reg.counter("tier_cold_reads", &[]).set(s.cold_reads);
         reg.counter("tier_demotions", &[]).set(s.tier_demotions);
         reg.counter("tier_promotions", &[]).set(s.tier_promotions);

@@ -46,7 +46,9 @@ pub struct ArrayConfig {
     pub dedup_recent_window: usize,
     /// Dedup hot-cache capacity (entries).
     pub dedup_hot_cache: usize,
-    /// Controller DRAM cblock cache capacity in bytes.
+    /// Controller DRAM read-cache (2Q) capacity in bytes; 0 disables
+    /// it. Exhibits size it from the five-minute-rule crossover
+    /// interval: capacity = arrival byte rate × crossover time.
     pub cache_bytes: usize,
     /// Seed for all deterministic randomness.
     pub seed: u64,
@@ -85,10 +87,6 @@ pub struct ArrayConfig {
     pub cold_latency: LatencyModel,
     /// Cold-tier endurance rating (ignored when `cold_drives == 0`).
     pub cold_endurance: EnduranceModel,
-    /// Controller-RAM read-cache capacity in bytes (0 disables it).
-    /// Sized by exhibits from the five-minute-rule crossover interval:
-    /// capacity = arrival byte rate × crossover time.
-    pub ram_cache_bytes: usize,
     /// Migrator tick cadence in virtual ns (0 disables the migrator;
     /// the watcher → reconciler → migrator loop runs at most this often
     /// from the background path).
@@ -140,7 +138,6 @@ impl ArrayConfig {
             cold_geometry: SsdGeometry::test_small(),
             cold_latency: LatencyModel::qlc_cold(),
             cold_endurance: EnduranceModel::qlc(),
-            ram_cache_bytes: 0,
             tier_interval_ns: 0,
             tier_demote_after_ns: 0,
             tier_migration_budget: 0,
@@ -148,14 +145,14 @@ impl ArrayConfig {
     }
 
     /// [`ArrayConfig::test_small`] plus the tiering engine: two QLC-like
-    /// cold drives, a controller-RAM read cache, and the migrator loop.
+    /// cold drives, a larger DRAM read cache, and the migrator loop.
     pub fn tiered() -> Self {
         Self {
             cold_drives: 2,
             cold_geometry: SsdGeometry::test_small(),
             cold_latency: LatencyModel::qlc_cold(),
             cold_endurance: EnduranceModel::qlc(),
-            ram_cache_bytes: 2 * 1024 * 1024,
+            cache_bytes: 6 * 1024 * 1024,
             tier_interval_ns: 50_000_000,
             tier_demote_after_ns: 400_000_000,
             tier_migration_budget: 16,

@@ -10,7 +10,6 @@
 //! [`crate::controller::Controller::recover`] does on the standby.
 
 use crate::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
-use crate::cache::CblockCache;
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
@@ -34,6 +33,7 @@ use purity_lsm::{Pyramid, Seq, SeqAllocator};
 use purity_obs::{Obs, OpTrace};
 use purity_sim::units::format_nanos;
 use purity_sim::Nanos;
+use purity_tier::RamCache;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -146,7 +146,9 @@ pub struct Controller {
     pub(crate) boot: BootRegion,
     pub(crate) writer: SegmentWriter,
     pub(crate) dedup: DedupEngine<BlockLoc>,
-    pub(crate) cache: CblockCache,
+    /// The controller's DRAM read cache of decoded cblocks (2Q, keyed
+    /// by physical address). Warmed into the standby by the array.
+    pub(crate) cache: RamCache<Pba>,
     /// Shared elide set backing the map pyramid's filter.
     pub(crate) elided_mediums: Arc<RwLock<RangeTable>>,
     pub(crate) next_segment: u64,
@@ -158,8 +160,8 @@ pub struct Controller {
     pub(crate) map_patches: Vec<PatchLoc>,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
-    /// Tiering engine state: RAM read cache, heat watcher, cold-slot
-    /// allocator. Volatile — rebuilt from the map on every cold start.
+    /// Tiering engine state: heat watcher, cold-slot allocator.
+    /// Volatile — rebuilt from the map on every cold start.
     pub(crate) tier: TierState,
     /// Telemetry.
     pub stats: ArrayStats,
@@ -220,7 +222,7 @@ impl Controller {
                 cfg.dedup_recent_window,
                 cfg.dedup_hot_cache,
             )),
-            cache: CblockCache::new(cfg.cache_bytes),
+            cache: RamCache::new(cfg.cache_bytes),
             elided_mediums: elided,
             next_segment: 1,
             next_medium: 1,
@@ -657,7 +659,6 @@ impl Controller {
             let Self {
                 dedup,
                 cache,
-                tier,
                 segments,
                 writer,
                 layout,
@@ -669,7 +670,6 @@ impl Controller {
             let mut fetcher = CtrlFetcher {
                 shelf,
                 cache,
-                ram: &mut tier.ram,
                 segments,
                 writer,
                 layout,
@@ -826,14 +826,6 @@ impl Controller {
         }
         let id = SegmentId(self.next_segment);
         self.next_segment += 1;
-        if std::env::var("PURITY_TRACE").is_ok() {
-            eprintln!(
-                "OPEN-SEG {:?} columns {:?} failed_drives {:?}",
-                id,
-                columns,
-                shelf.failed_drives()
-            );
-        }
         let seq_lo = self.seq.high_water() + 1;
         self.writer
             .open_segment_on(shelf, id, columns, seq_lo, now)?;
@@ -1135,7 +1127,6 @@ impl Controller {
     ) -> Result<(Arc<Vec<u8>>, Nanos)> {
         let Self {
             cache,
-            tier,
             segments,
             writer,
             layout,
@@ -1147,7 +1138,6 @@ impl Controller {
         fetch_cblock_raw(
             shelf,
             cache,
-            &mut tier.ram,
             segments,
             writer,
             layout,
@@ -1235,10 +1225,6 @@ impl Controller {
         self.checkpoint_version += 1;
         let frontier = self.allocator.build_persist_set();
         let cp = self.build_checkpoint(frontier);
-        if std::env::var("PURITY_TRACE").is_ok() {
-            let segs: Vec<u64> = self.segments.keys().copied().collect();
-            eprintln!("CKPT-FRONTIER v{} segs {:?}", cp.version, segs);
-        }
         self.boot.write(shelf, &cp, now)
     }
 
@@ -1258,10 +1244,6 @@ impl Controller {
             self.allocator.snapshot_persisted()
         };
         let cp = self.build_checkpoint(frontier);
-        if std::env::var("PURITY_TRACE").is_ok() {
-            let segs: Vec<u64> = self.segments.keys().copied().collect();
-            eprintln!("CKPT v{} segs {:?}", cp.version, segs);
-        }
         let t = self.boot.write(shelf, &cp, now)?;
         if let Some(idx) = trim_to {
             shelf.nvram_trim(idx)?;
@@ -1440,15 +1422,6 @@ pub(crate) fn read_extent(
                 if let Some(tr) = trace.as_deref_mut() {
                     stamp_drive_read(tr, &dr, au.drive, now, false);
                 }
-                if std::env::var("PURITY_TRACE").is_ok() && dr.done.saturating_sub(now) > 10_000_000
-                {
-                    eprintln!(
-                        "SLOW-DIRECT drive {} ext {:?} lat {}us",
-                        au.drive,
-                        ext,
-                        (dr.done - now) / 1000
-                    );
-                }
                 return Ok((dr.data, dr.done));
             }
             Err(_) => media_error = true, // corrupt page: rebuild below
@@ -1508,16 +1481,6 @@ pub(crate) fn read_extent(
                 format!("{why}; rebuilt column {} from {k} columns", ext.column),
             );
         }
-        if std::env::var("PURITY_TRACE").is_ok() && done.saturating_sub(now) > 10_000_000 {
-            let cols: Vec<String> = available.iter().map(|(c, _)| format!("c{}", c)).collect();
-            eprintln!(
-                "SLOW-RECON target d{} ext {:?} lat {}us via {:?}",
-                au.drive,
-                ext,
-                (done - now) / 1000,
-                cols
-            );
-        }
         return Ok((rebuilt, done));
     }
 
@@ -1561,12 +1524,12 @@ pub(crate) fn read_extent(
     )))
 }
 
-/// Cache → open-segment pending buffer → flash, then decode.
+/// DRAM cache → cold slot or open-segment pending buffer → flash, then
+/// decode and admit into the cache.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fetch_cblock_raw(
     shelf: &mut Shelf,
-    cache: &mut CblockCache,
-    ram: &mut purity_tier::RamCache<Pba>,
+    cache: &mut RamCache<Pba>,
     segments: &BTreeMap<u64, SegmentInfo>,
     writer: &SegmentWriter,
     layout: &SegmentLayout,
@@ -1577,37 +1540,12 @@ pub(crate) fn fetch_cblock_raw(
     now: Nanos,
     mut trace: Option<&mut OpTrace>,
 ) -> Result<(Arc<Vec<u8>>, Nanos)> {
-    // Tier 0: the five-minute-rule RAM cache — a hit short-circuits the
-    // whole drive path (and the legacy cblock cache below it).
-    if let Some(payload) = ram.get(pba) {
-        stats.ram_cache_hits += 1;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.stage("ram_cache_hit", now, now);
-        }
-        return Ok((payload, now));
-    }
     if let Some(payload) = cache.get(pba) {
         stats.cache_reads += 1;
         if let Some(tr) = trace.as_deref_mut() {
             tr.stage("cache_hit", now, now);
         }
         return Ok((payload, now));
-    }
-    // Cold-resident cblock: one contiguous slot read off the QLC pool,
-    // no striping, no parity — the read pays the full device penalty.
-    if crate::tier::cold_drive_of(pba).is_some() {
-        let (raw, t) = Controller::read_cold_cblock(shelf, pba, now)?;
-        stats.cold_reads += 1;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.stage("cold_read", now, t);
-        }
-        let payload = Arc::new(
-            purity_compress::decompress(&raw)
-                .map_err(|e| PurityError::DataLoss(format!("cold cblock at {:?}: {}", pba, e)))?,
-        );
-        cache.put(*pba, payload.clone());
-        crate::tier::admit_payload(ram, pba, &payload);
-        return Ok((payload, t));
     }
     // A cblock in the open segment may straddle the flush boundary:
     // head bytes already on flash, tail still in the pending DRAM buffer.
@@ -1616,7 +1554,17 @@ pub(crate) fn fetch_cblock_raw(
         Some(boundary) => (boundary.saturating_sub(pba.offset) as usize).min(len),
         None => len,
     };
-    let raw = if flash_len == 0 {
+    let (raw, done) = if crate::tier::cold_drive_of(pba).is_some() {
+        // Cold-resident cblock: one contiguous slot read off the QLC
+        // pool, no striping, no parity — the read pays the full device
+        // penalty.
+        let (raw, t) = Controller::read_cold_cblock(shelf, pba, now)?;
+        stats.cold_reads += 1;
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.stage("cold_read", now, t);
+        }
+        (raw, t)
+    } else if flash_len == 0 {
         let bytes = writer
             .read_pending(pba.segment, pba.offset, len)
             .ok_or_else(|| PurityError::Internal(format!("pending read miss at {:?}", pba)))?;
@@ -1654,19 +1602,17 @@ pub(crate) fn fetch_cblock_raw(
         (buf, done)
     };
     let payload = Arc::new(
-        purity_compress::decompress(&raw.0)
+        purity_compress::decompress(&raw)
             .map_err(|e| PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e)))?,
     );
     cache.put(*pba, payload.clone());
-    crate::tier::admit_payload(ram, pba, &payload);
-    Ok((payload, raw.1))
+    Ok((payload, done))
 }
 
 /// The dedup engine's view of stored blocks.
 pub(crate) struct CtrlFetcher<'a> {
     pub shelf: &'a mut Shelf,
-    pub cache: &'a mut CblockCache,
-    pub ram: &'a mut purity_tier::RamCache<Pba>,
+    pub cache: &'a mut RamCache<Pba>,
     pub segments: &'a BTreeMap<u64, SegmentInfo>,
     pub writer: &'a SegmentWriter,
     pub layout: &'a SegmentLayout,
@@ -1685,7 +1631,6 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         let (payload, _t) = fetch_cblock_raw(
             self.shelf,
             self.cache,
-            self.ram,
             self.segments,
             self.writer,
             self.layout,
@@ -1719,7 +1664,6 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         let (payload, _t) = fetch_cblock_raw(
             self.shelf,
             self.cache,
-            self.ram,
             self.segments,
             self.writer,
             self.layout,

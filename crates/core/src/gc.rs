@@ -160,16 +160,12 @@ impl Controller {
 
         // ---- Durability point, then free victims. --------------------
         self.write_checkpoint(shelf, now)?;
-        if std::env::var("PURITY_TRACE").is_ok() {
-            eprintln!("GC victims: {:?}", victims);
-        }
         for victim in &victims {
             let info = match self.segments.remove(victim) {
                 Some(i) => i,
                 None => continue,
             };
-            self.cache.invalidate_segment(info.id);
-            self.tier.ram.retain(|p| p.segment != info.id);
+            self.cache.retain(|p| p.segment != info.id);
             for au in &info.columns {
                 let off = self.layout.au_byte_offset(au.index);
                 // Trim is advisory; a failed drive's AU is released anyway.
@@ -314,7 +310,6 @@ impl Controller {
             let Self {
                 dedup,
                 cache,
-                tier,
                 segments,
                 writer,
                 layout,
@@ -326,7 +321,6 @@ impl Controller {
             let mut fetcher = CtrlFetcher {
                 shelf,
                 cache,
-                ram: &mut tier.ram,
                 segments,
                 writer,
                 layout,

@@ -24,7 +24,6 @@
 
 pub mod array;
 pub mod bootregion;
-pub mod cache;
 pub mod config;
 pub mod controller;
 pub mod error;

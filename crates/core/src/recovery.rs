@@ -18,7 +18,6 @@
 //!    duplicate records is harmless").
 
 use crate::bootregion::BootRegion;
-use crate::cache::CblockCache;
 use crate::config::ArrayConfig;
 use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
@@ -138,13 +137,6 @@ impl Controller {
             cfg.stripe_width(),
         );
         let (cp, mut done) = boot.read(shelf, now)?;
-        if std::env::var("PURITY_TRACE").is_ok() {
-            eprintln!(
-                "RECOVER v{} segs {:?}",
-                cp.version,
-                cp.segment_rows.iter().map(|r| r[0]).collect::<Vec<_>>()
-            );
-        }
 
         // --- 1. Rebuild small tables from the checkpoint. -------------
         let mut segments: BTreeMap<u64, SegmentInfo> = BTreeMap::new();
@@ -358,7 +350,7 @@ impl Controller {
                 cfg.dedup_recent_window,
                 cfg.dedup_hot_cache,
             )),
-            cache: CblockCache::new(cfg.cache_bytes),
+            cache: purity_tier::RamCache::new(cfg.cache_bytes),
             elided_mediums: elided_arc,
             next_segment: cp.next_segment,
             next_medium: cp.next_medium,

@@ -499,17 +499,7 @@ impl SegmentWriter {
                     Ok(t) => pair_end = pair_end.max(t),
                     // Degraded write: skip failed drives; parity columns
                     // on surviving drives keep the stripe recoverable.
-                    Err(PurityError::Device(e)) => {
-                        if std::env::var("PURITY_TRACE").is_ok()
-                            && !shelf.drive(au.drive).is_failed()
-                        {
-                            eprintln!(
-                                "write-stripe skip on healthy drive {} seg {:?}: {}",
-                                au.drive, open.info.id, e
-                            );
-                        }
-                        continue;
-                    }
+                    Err(PurityError::Device(_)) => continue,
                     Err(e) => return Err(e),
                 }
             }

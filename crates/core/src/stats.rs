@@ -36,9 +36,11 @@ pub struct ArrayStats {
     pub reconstructed_reads: u64,
     /// Extra drive reads performed for reconstructions.
     pub reconstruction_extra_reads: u64,
-    /// Reads served from DRAM cache.
+    /// cblock fetches served from the controller's DRAM cache.
     pub cache_reads: u64,
-    /// Reads served from the five-minute-rule RAM read cache (2Q).
+    /// Always 0: DRAM hits are [`ArrayStats::cache_reads`]. Kept only
+    /// because `perfbench/src/main.rs` reads it; drop it when that
+    /// benchmark is next revised.
     pub ram_cache_hits: u64,
     /// cblock fetches that paid the cold-device (QLC) penalty.
     pub cold_reads: u64,
@@ -133,7 +135,6 @@ impl ArrayStats {
         self.reconstructed_reads += other.reconstructed_reads;
         self.reconstruction_extra_reads += other.reconstruction_extra_reads;
         self.cache_reads += other.cache_reads;
-        self.ram_cache_hits += other.ram_cache_hits;
         self.cold_reads += other.cold_reads;
         self.tier_demotions += other.tier_demotions;
         self.tier_promotions += other.tier_promotions;
@@ -175,7 +176,7 @@ impl ArrayStats {
             "logical written {} | physical stored {} | reduction {:.2}x \
              (dedup saved {}, compression saved {})\n\
              writes: {}\nreads:  {}\n\
-             read paths: direct {} reconstructed {} cached {} ram {} cold {} zero {} (amplification {:.3}x)\n\
+             read paths: direct {} reconstructed {} cached {} cold {} zero {} (amplification {:.3}x)\n\
              tier: {} demotions ({}) {} promotions ({})\n\
              gc: {} passes, {} segments freed, {} relocated | scrub: {} passes, {} repairs | checkpoints {}",
             format_bytes(self.logical_bytes_written),
@@ -188,7 +189,6 @@ impl ArrayStats {
             self.direct_reads,
             self.reconstructed_reads,
             self.cache_reads,
-            self.ram_cache_hits,
             self.cold_reads,
             self.zero_reads,
             self.read_amplification(),

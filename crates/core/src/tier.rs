@@ -1,8 +1,8 @@
 //! Tiering executor: the crash-safe half of the five-minute-rule engine.
 //!
-//! `purity-tier` decides *what* should move (2Q RAM cache policy, heat
-//! watcher, reconciler); this module decides *how*, against the array's
-//! real durability machinery:
+//! `purity-tier` decides *what* should move (heat watcher, reconciler);
+//! this module decides *how*, against the array's real durability
+//! machinery:
 //!
 //! * **Cold addressing** — demoted cblocks live on the QLC-like cold
 //!   drive pool in fixed-size slots. A cold location is an ordinary
@@ -39,9 +39,8 @@ use crate::types::{BlockLoc, Pba, SegmentId};
 use purity_obs::OpTrace;
 use purity_sim::Nanos;
 use purity_tier::plan::VolumePlacement;
-use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, RamCache, Reconciler};
+use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, Reconciler};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// First segment id of the cold pseudo-segment namespace. Real segment
 /// ids are sequential from 1; 2^62 leaves the namespaces disjoint for
@@ -78,12 +77,10 @@ pub struct TierTickReport {
 }
 
 /// Volatile tiering state owned by the controller. Everything here is
-/// reconstructible: the RAM cache refills, heat re-learns, and the cold
-/// allocator is rebuilt from the recovered map on every cold start.
+/// reconstructible: heat re-learns, and the cold allocator is rebuilt
+/// from the recovered map on every cold start.
 #[derive(Debug)]
 pub struct TierState {
-    /// The five-minute-rule controller-RAM read cache (2Q).
-    pub ram: RamCache<Pba>,
     /// Per-volume heat from the flight recorder's read time-series.
     pub watcher: HeatWatcher,
     /// Free cold slots, ascending `(drive, slot)` — allocation takes the
@@ -103,7 +100,7 @@ pub struct TierState {
 
 impl TierState {
     /// Fresh state for a formatted or recovered controller: every slot
-    /// free, nothing cached, no heat history.
+    /// free, no heat history.
     pub(crate) fn new(cfg: &ArrayConfig) -> Self {
         let mut free_slots = BTreeSet::new();
         for d in 0..cfg.cold_drives {
@@ -112,7 +109,6 @@ impl TierState {
             }
         }
         Self {
-            ram: RamCache::new(cfg.ram_cache_bytes),
             watcher: HeatWatcher::new(),
             free_slots,
             used_slots: BTreeSet::new(),
@@ -429,15 +425,21 @@ impl Controller {
 
     /// Checkpoint hook: the boot record is durable, so slots freed by
     /// now-durable facts may re-enter the allocator. TRIM is advisory.
+    /// A released slot's address will name different bytes once it is
+    /// reused, so every cache entry keyed by it is dropped here.
     pub(crate) fn release_pending_cold(&mut self, shelf: &mut Shelf) {
         if self.tier.pending_free.is_empty() {
             return;
         }
         let slot_bytes = self.cfg.cold_slot_bytes();
-        for (d, slot) in std::mem::take(&mut self.tier.pending_free) {
+        let released = std::mem::take(&mut self.tier.pending_free);
+        for &(d, slot) in &released {
             let _ = shelf.trim_cold(d, (slot * slot_bytes as u64) as usize, slot_bytes);
             self.tier.free_slots.insert((d, slot));
         }
+        self.cache.retain(|p| {
+            cold_drive_of(p).is_none_or(|d| !released.contains(&(d, p.offset / slot_bytes as u64)))
+        });
     }
 
     /// Recovery hook: rebuilds the cold allocator from the recovered
@@ -479,19 +481,6 @@ impl Controller {
         shelf.read_cold(d, pba.offset as usize, pba.stored_len as usize, now)
     }
 
-    /// The RAM cache's `(hits, misses, evictions)` plus residency, for
-    /// telemetry and exhibits.
-    pub fn ram_cache_stats(&self) -> (u64, u64, u64, usize, usize) {
-        let (h, m, e) = self.tier.ram.stats();
-        (
-            h,
-            m,
-            e,
-            self.tier.ram.used_bytes(),
-            self.tier.ram.capacity_bytes(),
-        )
-    }
-
     /// `(free, used, pending_free)` cold slot counts.
     pub fn cold_slot_counts(&self) -> (usize, usize, usize) {
         self.tier.slot_counts()
@@ -502,12 +491,6 @@ impl Controller {
         let policy = HeatPolicy::with_demote_after(self.cfg.tier_demote_after_ns.max(1));
         self.tier.watcher.classify(volume, now, &policy)
     }
-}
-
-/// Shared admission point: payloads decoded off any device path enter
-/// both the legacy cblock cache and (when sized) the 2Q RAM cache.
-pub(crate) fn admit_payload(ram: &mut RamCache<Pba>, pba: &Pba, payload: &Arc<Vec<u8>>) {
-    ram.put(*pba, payload.clone());
 }
 
 #[cfg(test)]
@@ -600,9 +583,56 @@ mod tests {
             a.read(vol, 0, 64 * 1024).unwrap();
         }
         assert!(
-            a.stats().ram_cache_hits > 0,
-            "repeated reads never hit the RAM cache"
+            a.stats().cache_reads > 0,
+            "repeated reads never hit the DRAM cache"
         );
+    }
+
+    #[test]
+    fn reused_cold_slot_never_serves_stale_bytes() {
+        // Idles with a checkpoint each tick (so dead slots are released)
+        // until the migrator demotes something more.
+        fn idle_until_demoted(a: &mut FlashArray) -> bool {
+            let before = a.stats().tier_demotions;
+            (0..20).any(|_| {
+                a.advance(100 * MS);
+                a.checkpoint().unwrap();
+                a.stats().tier_demotions > before
+            })
+        }
+        let mut a = tiered_array();
+        let vol = a.create_volume("reuse", 1 << 20).unwrap();
+        // Incompressible, so both versions encode to the same length and
+        // a reused slot yields the very same cache key.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect()
+        };
+        let old = noise(64 * 1024);
+        a.write(vol, 0, &old).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        assert!(idle_until_demoted(&mut a), "setup: never demoted");
+        let (back, _) = a.read(vol, 0, old.len()).unwrap();
+        assert_eq!(back, old);
+        // Overwrite and go idle: the sweep parks the old slots, the
+        // checkpoint releases them, and re-demotion takes the lowest free
+        // slots — the addresses the cache still holds the old bytes under.
+        let new = noise(64 * 1024);
+        a.write(vol, 0, &new).unwrap();
+        assert!(idle_until_demoted(&mut a), "setup: never re-demoted");
+        let (back, _) = a.read(vol, 0, new.len()).unwrap();
+        assert!(
+            back == new,
+            "read served the old cblock from a reused cold slot"
+        );
+        assert!(a.verify_integrity().is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ const PROBATION_SHARE: usize = 4;
 /// Ghost entries retained per live entry currently cached.
 const GHOST_FACTOR: usize = 2;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
     data: Arc<Vec<u8>>,
     /// Recency tick; also the key into the owning queue's index.
@@ -122,24 +122,79 @@ impl<K: Ord + Copy> RamCache<K> {
         let ghosted = self.ghost_keys.remove(&key).inspect(|stamp| {
             self.ghost.remove(stamp);
         });
-        let protected = ghosted.is_some();
-        let len = data.len();
-        if protected {
-            self.protected.insert(t, key);
-            self.protected_bytes += len;
-        } else {
-            self.probation.insert(t, key);
-            self.probation_bytes += len;
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                data,
-                stamp: t,
-                protected,
-            },
-        );
+        let entry = Entry {
+            data,
+            stamp: t,
+            protected: ghosted.is_some(),
+        };
+        self.index(key, entry);
         self.enforce_capacity();
+    }
+
+    /// Makes a non-resident key resident at its entry's queue position.
+    fn index(&mut self, key: K, e: Entry) {
+        if e.protected {
+            self.protected.insert(e.stamp, key);
+            self.protected_bytes += e.data.len();
+        } else {
+            self.probation.insert(e.stamp, key);
+            self.probation_bytes += e.data.len();
+        }
+        self.entries.insert(key, e);
+    }
+
+    /// Makes `other` a copy of this cache's hot set (standby warming,
+    /// §4.3), skipping keys `keep` rejects. Entries keep their queue and
+    /// recency, so the standby evicts in the order this cache would
+    /// have. If they overflow `other`, the coldest go first — probation
+    /// oldest to newest, then protected oldest to newest — so what stays
+    /// is the hottest prefix: protected newest to oldest, then
+    /// probation. Payloads are shared, not copied.
+    ///
+    /// Warming runs every few writes, so its cost lands on the write
+    /// path's tail. `other` is therefore updated in place, not rebuilt:
+    /// one sorted walk of both entry maps finds the entries that changed
+    /// since the last warm, and only those are re-indexed.
+    pub fn warm_into(&self, other: &mut RamCache<K>, keep: impl Fn(&K) -> bool) {
+        let mut src = self.entries.iter().filter(|(k, _)| keep(k)).peekable();
+        let (mut stale, mut fresh) = (Vec::new(), Vec::new());
+        for (k, mine) in &other.entries {
+            while let Some(new) = src.next_if(|(sk, _)| *sk < k) {
+                fresh.push(new);
+            }
+            match src.next_if(|(sk, _)| *sk == k) {
+                Some((_, e))
+                    if e.stamp == mine.stamp
+                        && e.protected == mine.protected
+                        && Arc::ptr_eq(&e.data, &mine.data) => {}
+                Some(changed) => {
+                    stale.push(*k);
+                    fresh.push(changed);
+                }
+                None => stale.push(*k),
+            }
+        }
+        fresh.extend(src);
+        for k in stale {
+            other.remove(&k);
+        }
+        for (&k, e) in fresh {
+            other.index(k, e.clone());
+        }
+        other.tick = self.tick;
+        other.ghost.clear();
+        other.ghost_keys.clear();
+        while other.used_bytes() > other.capacity_bytes {
+            let coldest = if other.probation.is_empty() {
+                &other.protected
+            } else {
+                &other.probation
+            };
+            let (_, &k) = coldest
+                .first_key_value()
+                .expect("over budget, so non-empty");
+            other.remove(&k);
+        }
     }
 
     /// Evicts until within budget: probation first while it exceeds its
@@ -256,6 +311,41 @@ mod tests {
     }
 
     #[test]
+    fn get_put_and_stats() {
+        let mut c = RamCache::new(1024);
+        assert_eq!(c.get(&1), None);
+        c.put(1, Arc::new(vec![1, 2, 3]));
+        assert_eq!(c.get(&1), Some(Arc::new(vec![1, 2, 3])));
+        assert_eq!(c.get(&2), None);
+        assert_eq!(c.stats(), (1, 2, 0));
+    }
+
+    #[test]
+    fn lru_eviction_keeps_recently_used() {
+        let mut c = RamCache::new(1000);
+        put(&mut c, 0, 400);
+        put(&mut c, 1, 400);
+        c.get(&0); // touch 0 so 1 is the victim
+        put(&mut c, 2, 400); // evicts 1
+        assert!(c.get(&0).is_some());
+        assert!(c.get(&1).is_none());
+        assert!(c.get(&2).is_some());
+        assert!(c.used_bytes() <= 1000);
+        assert_eq!(c.stats().2, 1);
+    }
+
+    #[test]
+    fn oversized_payloads_are_skipped() {
+        let mut c = RamCache::new(10);
+        put(&mut c, 1, 100);
+        assert_eq!(c.used_bytes(), 0);
+        put(&mut c, 2, 10);
+        assert_eq!(c.used_bytes(), 10);
+        put(&mut c, 3, 11);
+        assert!(c.contains(&2) && !c.contains(&3));
+    }
+
+    #[test]
     fn scan_does_not_evict_the_hot_set() {
         let mut c = RamCache::new(1000);
         // Build a protected hot set: insert then re-reference.
@@ -324,6 +414,85 @@ mod tests {
         let mut z: RamCache<u64> = RamCache::new(0);
         z.put(1, Arc::new(vec![0; 1]));
         assert!(z.is_empty());
+    }
+
+    #[test]
+    fn warming_copies_hottest_first() {
+        let mut primary = RamCache::new(1000);
+        for k in 0..4u64 {
+            put(&mut primary, k, 200);
+        }
+        primary.get(&0); // hottest: the only protected entry
+        let mut secondary = RamCache::new(500);
+        put(&mut secondary, 9, 100); // stale standby content is replaced
+        primary.warm_into(&mut secondary, |&k| k != 3);
+        // 0 (protected), then probation newest first: 3 is rejected, 2
+        // fits, and 1 would overflow.
+        assert!(secondary.contains(&0) && secondary.contains(&2));
+        assert!(!secondary.contains(&3), "rejected key was warmed");
+        assert!(!secondary.contains(&1) && !secondary.contains(&9));
+        assert_eq!(secondary.used_bytes(), 400);
+        // Warmed entries keep their queue: key 0 is still protected, so a
+        // one-touch scan through the standby cannot evict it.
+        for k in 100..110u64 {
+            put(&mut secondary, k, 100);
+        }
+        assert!(secondary.contains(&0));
+        assert!(!secondary.contains(&2));
+    }
+
+    #[test]
+    fn rewarming_matches_a_fresh_warm() {
+        let snapshot = |c: &RamCache<u64>| {
+            let entries: Vec<_> = c
+                .entries
+                .iter()
+                .map(|(k, e)| (*k, e.stamp, e.protected, Arc::as_ptr(&e.data)))
+                .collect();
+            let bytes = (c.probation_bytes, c.protected_bytes, c.tick);
+            (entries, c.probation.clone(), c.protected.clone(), bytes)
+        };
+        let mut primary = RamCache::new(3000);
+        let mut standby = RamCache::new(3000);
+        for round in 0..6u64 {
+            // Admissions, evictions, promotions, replacements, removals.
+            for k in 0..12u64 {
+                let key = (k * 7 + round * 5) % 29;
+                put(&mut primary, key, 100 + (key as usize % 3) * 50);
+                primary.get(&((key * 3) % 29));
+            }
+            primary.remove(&(round % 29));
+            primary.warm_into(&mut standby, |&k| k % 5 != 0);
+            let mut fresh = RamCache::new(3000);
+            primary.warm_into(&mut fresh, |&k| k % 5 != 0);
+            assert_eq!(snapshot(&standby), snapshot(&fresh), "round {round}");
+            assert!(standby.entries.keys().all(|k| k % 5 != 0));
+            let held: usize = standby.entries.values().map(|e| e.data.len()).sum();
+            assert_eq!(standby.used_bytes(), held);
+        }
+    }
+
+    #[test]
+    fn replacing_an_entry_adjusts_usage() {
+        let mut c = RamCache::new(100);
+        put(&mut c, 1, 60);
+        put(&mut c, 1, 40);
+        assert_eq!(c.used_bytes(), 40);
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn segment_invalidation() {
+        // Keys shaped like a physical address: (segment, offset).
+        let mut c: RamCache<(u64, u64)> = RamCache::new(1024);
+        c.put((1, 0), Arc::new(vec![1]));
+        c.put((1, 8), Arc::new(vec![1]));
+        c.put((2, 0), Arc::new(vec![2]));
+        c.retain(|&(segment, _)| segment != 1);
+        assert!(c.get(&(1, 0)).is_none());
+        assert!(c.get(&(1, 8)).is_none());
+        assert!(c.get(&(2, 0)).is_some());
+        assert_eq!(c.used_bytes(), 1);
     }
 
     #[test]

@@ -21,6 +21,12 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
+# The benchmark harness is its own Cargo package (outside the
+# workspace) built on the core's public API; its tests run every
+# workload briefly, so an API change that breaks it fails here.
+step "benchmark harness tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Host front-end exhibits double as smoke checks: each binary parses its
 # own results/<name>.json back and asserts the claimed invariants
 # (QD-monotone IOPS/latency; zero lost acks across failover).

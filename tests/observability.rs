@@ -438,8 +438,8 @@ fn tier_stages_are_emitted_and_registered() {
     a.write(vol, 0, &data).unwrap();
     // One read warms the heat series; the idle advance crosses the
     // demote threshold so the migrator copies the volume down; the
-    // re-read pays the cold penalty and admits into the RAM cache; the
-    // final read hits RAM.
+    // re-read pays the cold penalty and admits into the DRAM cache; the
+    // final read hits it.
     a.read(vol, 0, 64 * SECTOR).unwrap();
     for _ in 0..12 {
         a.advance(100_000_000);
@@ -453,7 +453,7 @@ fn tier_stages_are_emitted_and_registered() {
             seen.insert(st.stage);
         }
     }
-    for want in ["ram_cache_hit", "cold_read", "tier_demote"] {
+    for want in ["cache_hit", "cold_read", "tier_demote"] {
         assert!(
             seen.contains(want),
             "tiered run never emitted {want:?}; saw {seen:?}"
@@ -468,11 +468,14 @@ fn tier_stages_are_emitted_and_registered() {
     }
 
     let s = a.stats();
-    assert!(s.tier_demotions > 0 && s.cold_reads > 0 && s.ram_cache_hits > 0);
+    assert!(s.tier_demotions > 0 && s.cold_reads > 0 && s.cache_reads > 0);
     let snap = a.metrics_snapshot();
     assert_eq!(snap.counter("tier_demotions", &[]), s.tier_demotions);
     assert_eq!(snap.counter("tier_cold_reads", &[]), s.cold_reads);
-    assert_eq!(snap.counter("cache_ram_hits", &[]), s.ram_cache_hits);
+    assert_eq!(
+        snap.counter("array_reads", &[("path", "cache")]),
+        s.cache_reads
+    );
     let vol_label = vol.0.to_string();
     assert!(
         snap.counter("volume_reads", &[("volume", vol_label.as_str())]) > 0,

@@ -183,8 +183,8 @@ fn tiered_workset_shift_export_is_thread_count_invariant() {
         assert!(s.tier_promotions > 0, "migrator must promote the return");
         let mut doc = strip_profile_section(&a.export_observability_json()).to_string();
         doc.push_str(&format!(
-            "\ndemotions={} promotions={} cold_reads={} ram_hits={}",
-            s.tier_demotions, s.tier_promotions, s.cold_reads, s.ram_cache_hits
+            "\ndemotions={} promotions={} cold_reads={} cache_hits={}",
+            s.tier_demotions, s.tier_promotions, s.cold_reads, s.cache_reads
         ));
         doc
     });
